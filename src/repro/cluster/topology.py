@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..numerics import sum_sequential
 from ..simulation import Simulator
 from .machine import Machine, MachineSpec
 
@@ -270,7 +271,7 @@ class Cluster:
 
     def total_energy_joules(self) -> float:
         """Cluster-wide energy consumed so far (call finish first)."""
-        return sum(m.energy.total_joules for m in self.machines.values())
+        return sum_sequential(m.energy.total_joules for m in self.machines.values())
 
     def energy_by_type(self) -> Dict[str, float]:
         """Joules per machine model — the Fig. 8(a) breakdown."""
@@ -286,7 +287,7 @@ class Cluster:
         sums: Dict[str, List[float]] = {}
         for machine in self.machines.values():
             sums.setdefault(machine.spec.model, []).append(machine.average_utilization())
-        return {model: sum(vals) / len(vals) for model, vals in sums.items()}
+        return {model: sum_sequential(vals) / len(vals) for model, vals in sums.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .machine import machine_counts_by_type

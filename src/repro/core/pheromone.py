@@ -36,6 +36,8 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from ..numerics import sum_sequential
+
 __all__ = ["ExchangeLevel", "TaskFeedback", "PheromoneTable"]
 
 ColonyKey = Hashable  # typically (job_id, TaskKind)
@@ -254,24 +256,26 @@ class PheromoneTable:
 
     def attractiveness_many(
         self, colonies: Sequence[ColonyKey], machine_id: int
-    ) -> np.ndarray:
-        """Eq. 3 for one machine across many colonies in one pass.
+    ) -> List[float]:
+        """Eq. 3 for one machine across many colonies, as plain floats.
 
         The heartbeat scorer calls this once per slot offer with every
         candidate colony; each element is the same ``tau / sum(row)``
-        division :meth:`attractiveness` performs, batched.
+        division :meth:`attractiveness` performs, read straight from the
+        memoized row normalizers.
         """
-        for colony in colonies:
-            self.ensure_colony(colony)
         column = self._col[machine_id]
-        count = len(colonies)
-        taus = np.empty(count)
-        totals = np.empty(count)
         rows = self._tau
-        for i, colony in enumerate(colonies):
-            taus[i] = rows[colony][column]
-            totals[i] = self._stats(colony)[0]
-        return taus / totals
+        memo = self._row_stats
+        out = []
+        for colony in colonies:
+            row = rows.get(colony)
+            if row is None:
+                self.ensure_colony(colony)
+                row = rows[colony]
+            stats = memo.get(colony) or self._stats(colony)
+            out.append(row.item(column) / stats[0])
+        return out
 
     def attractiveness_row(self, colony: ColonyKey) -> Dict[int, float]:
         """Eq. 3 for every machine at once."""
@@ -405,7 +409,9 @@ class PheromoneTable:
         deposits: Dict[ColonyKey, Dict[int, float]] = {}
         for colony, colony_items in by_colony.items():
             self.ensure_colony(colony)
-            mean_energy = sum(f.energy_joules for f in colony_items) / len(colony_items)
+            mean_energy = sum_sequential(f.energy_joules for f in colony_items) / len(
+                colony_items
+            )
             # Raw per-task deltas, grouped by machine.
             per_machine: Dict[int, List[float]] = {}
             for item in colony_items:
@@ -415,7 +421,9 @@ class PheromoneTable:
             if self.exchange & ExchangeLevel.MACHINE:
                 per_machine = self._machine_exchange(per_machine)
 
-            deposits[colony] = {m: sum(values) for m, values in per_machine.items()}
+            deposits[colony] = {
+                m: sum_sequential(values) for m, values in per_machine.items()
+            }
 
         if self.exchange & ExchangeLevel.JOB:
             deposits = self._job_exchange(deposits, by_colony)
@@ -438,7 +446,7 @@ class PheromoneTable:
             grouped.setdefault(group, []).extend(deltas)
         result: Dict[int, List[float]] = {}
         for group, deltas in grouped.items():
-            mean_delta = sum(deltas) / len(deltas)
+            mean_delta = sum_sequential(deltas) / len(deltas)
             share = len(deltas) / len(group)
             for machine_id in group:
                 result[machine_id] = [mean_delta * share]

@@ -30,12 +30,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from ..cluster.machine import Machine
 from ..cluster.power import EnergyAccumulator
 from ..cluster.topology import Cluster
 from ..hadoop.jobtracker import JobTracker
+from ..numerics import power, sum_sequential
 from ..observability.tracer import EventType
 from ..simulation.engine import PRIORITY_NORMAL, PRIORITY_URGENT, Simulator
 from ..simulation.events import Event, SimulationError
@@ -49,11 +48,11 @@ __all__ = ["reference_mode", "REFERENCE_PATCHES"]
 def _reference_stats(self: PheromoneTable, colony: ColonyKey) -> Tuple[float, float]:
     """Eq. 3 normalizers recomputed from the row on every query (no memo).
 
-    The scalar ``sum`` accumulates left-to-right exactly like the
-    ``cumsum`` the optimized memo uses, so the two agree bit-for-bit.
+    The scalar sum accumulates left-to-right exactly like the ``cumsum``
+    the optimized memo uses, so the two agree bit-for-bit.
     """
     values = self._tau[colony].tolist()
-    return (sum(values), max(values))
+    return (sum_sequential(values), max(values))
 
 
 def _reference_apply_update(
@@ -135,7 +134,7 @@ def _reference_selection_arrays(self, jobs, kind, machine_id, fairness):
     """Per-candidate Eq. 8 scoring as the original per-job scalar loop.
 
     ``attractiveness`` / ``_eta`` / ``_deficit`` evaluate one candidate at
-    a time; the vectorized scorer must reproduce these weights (and hence
+    a time; the optimized scorer must reproduce these weights (and hence
     the sampler's RNG draws) bit-for-bit.
     """
     from ..hadoop.job import TaskKind
@@ -147,8 +146,8 @@ def _reference_selection_arrays(self, jobs, kind, machine_id, fairness):
     for job in jobs:
         tau = self.pheromones.attractiveness((job.job_id, kind), machine_id)
         taus.append(tau)
-        weights.append(tau**sharpness * self._eta(job, kind, fairness))
-    return np.array(taus), np.array(weights)
+        weights.append(power(tau, sharpness) * self._eta(job, kind, fairness))
+    return taus, weights
 
 
 # ----------------------------------------------------------------- cluster

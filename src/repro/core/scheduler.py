@@ -26,6 +26,7 @@ configured exchange strategies.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from ..hadoop.job import Job, Task, TaskKind, TaskReport
 from ..hadoop.tasktracker import TrackerStatus
+from ..numerics import power, sum_pairwise
 from ..observability.tracer import EventType
 from ..schedulers.base import Scheduler
 from .analyzer import TaskAnalyzer
@@ -346,10 +348,10 @@ class EAntScheduler(Scheduler):
         """
         if self.config.beta == 0:
             return 1.0
-        term = fairness.eta(job.occupied_slots) * self._deficit(job, kind) ** (
-            self.config.deficit_power
+        term = fairness.eta(job.occupied_slots) * power(
+            self._deficit(job, kind), self.config.deficit_power
         )
-        return term ** (self.config.beta / self.config.beta_reference)
+        return power(term, self.config.beta / self.config.beta_reference)
 
     def _deficit(self, job: Job, kind: TaskKind) -> float:
         """How far the job is below its per-kind fair share, >= 0.5.
@@ -371,63 +373,50 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[List[float], List[float]]:
         """Per-candidate pheromone attractiveness and Eq. 8 sampling weight.
 
-        One vectorized pass over all candidates of the slot offer: the
-        pheromone table hands back every colony's Eq. 3 attractiveness at
-        once, and eta/deficit/weight (Eqs. 7-8) are evaluated as
-        elementwise array expressions.  Each element goes through the same
-        float operations in the same order as the scalar loop this
-        replaced (kept as the differential reference), so the sampling
-        probabilities — and therefore the RNG draws — are bit-identical.
+        One plain-float pass over the candidates of the slot offer: the
+        pheromone table hands back every colony's Eq. 3 attractiveness,
+        and eta, deficit and weight (Eqs. 7-8) are evaluated per job with
+        :func:`~repro.numerics.power` for every exponent.  Candidate lists
+        hold a handful of jobs, so per-call array dispatch would cost more
+        than the arithmetic.  The scalar reference scorer goes through the
+        same float operations in the same order, so both produce the same
+        weights bit for bit (``tests/differential`` holds the property).
 
-        The tau array rides along so the decision audit can decompose the
+        The tau list rides along so the decision audit can decompose the
         weights without re-normalizing the pheromone rows.
         """
         assert self.pheromones is not None
-        sharpness = self.config.selection_sharpness if kind is TaskKind.MAP else 1.0
+        config = self.config
         is_map = kind is TaskKind.MAP
+        sharpness = config.selection_sharpness if is_map else 1.0
         taus = self.pheromones.attractiveness_many(
             [(job.job_id, kind) for job in jobs], machine_id
         )
-        if self.config.beta == 0:
-            return taus, taus**sharpness * 1.0
-        if fairness.pool_slots <= 0:
+        if config.beta == 0:
+            return taus, [power(tau, sharpness) for tau in taus]
+        pool_slots = fairness.pool_slots
+        if pool_slots <= 0:
             raise ValueError("pool must have slots")
+        min_share = fairness.min_share
         map_slots, reduce_slots = self.jt.cluster.total_slots()
-        pool = map_slots if is_map else reduce_slots
-        share = pool / max(1, len(self.jt.active_jobs))
-        count = len(jobs)
-        occupied = np.empty(count)
-        running = np.empty(count)
-        if is_map:
-            for i, job in enumerate(jobs):
-                occupied[i] = job.occupied_slots
-                running[i] = job.running_maps
-        else:
-            for i, job in enumerate(jobs):
-                occupied[i] = job.occupied_slots
-                running[i] = job.running_reduces
-        # Eq. 7 (fairness_eta) and the slot deficit, elementwise.
-        denominator = np.maximum(
-            1.0 - (fairness.min_share - occupied) / fairness.pool_slots, 1e-3
-        )
-        deficit = np.maximum(share - running, 0.5)
-        heuristic = ((1.0 / denominator) * deficit**self.config.deficit_power) ** (
-            self.config.beta / self.config.beta_reference
-        )
-        return taus, taus**sharpness * heuristic
-
-    def _selection_weights(
-        self,
-        jobs: List[Job],
-        kind: TaskKind,
-        machine_id: int,
-        fairness: FairnessView,
-    ) -> np.ndarray:
-        """The Eq. 8 sampling weight of each candidate colony for one slot."""
-        return self._selection_arrays(jobs, kind, machine_id, fairness)[1]
+        share = (map_slots if is_map else reduce_slots) / max(1, len(self.jt.active_jobs))
+        deficit_power = config.deficit_power
+        exponent = config.beta / config.beta_reference
+        weights = []
+        for job, tau in zip(jobs, taus):
+            # Eq. 7 (fairness_eta) and the slot deficit, floored as there.
+            denominator = 1.0 - (min_share - job.occupied_slots) / pool_slots
+            if denominator < 1e-3:
+                denominator = 1e-3
+            deficit = share - (job.running_maps if is_map else job.running_reduces)
+            if deficit < 0.5:
+                deficit = 0.5
+            heuristic = power((1.0 / denominator) * power(deficit, deficit_power), exponent)
+            weights.append(power(tau, sharpness) * heuristic)
+        return taus, weights
 
     def _sample_job(
         self,
@@ -435,28 +424,33 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-        weights: Optional[np.ndarray] = None,
+        weights: Optional[List[float]] = None,
     ) -> Optional[Job]:
         """Sample one colony: Eq. 8 weights (pheromone x heuristic) scaled
         by the job's slot deficit.
 
-        Callers that already hold this candidate list's ``_selection_weights``
-        (e.g. to build audit rows) pass them in to avoid recomputation.
+        Callers that already hold this candidate list's weights (e.g. to
+        build audit rows) pass them in to avoid recomputation.
         """
         if weights is None:
-            weights = self._selection_weights(jobs, kind, machine_id, fairness)
-        total = weights.sum()
+            weights = self._selection_arrays(jobs, kind, machine_id, fairness)[1]
+        total = sum_pairwise(weights)
         if total <= 0:
             return jobs[int(self.rng.integers(len(jobs)))]
         if self.config.deterministic_selection:
-            return jobs[int(np.argmax(weights))]
-        # Inlined Generator.choice(len(jobs), p=weights/total): identical
-        # stream consumption (one random()) and identical index for the
-        # same draw, minus choice()'s per-call p-validation overhead.
-        cdf = (weights / total).cumsum()
-        cdf /= cdf[-1]
-        index = min(int(cdf.searchsorted(self.rng.random(), side="right")), len(jobs) - 1)
-        return jobs[index]
+            return jobs[weights.index(max(weights))]
+        # Generator.choice(len(jobs), p=weights/total) spelled out: the
+        # same normalization, cumulative sum and right-bisection on the
+        # one random() it consumes, so the index matches for every draw.
+        cdf = []
+        running = 0.0
+        for weight in weights:
+            running += weight / total
+            cdf.append(running)
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        index = bisect_right(cdf, self.rng.random())
+        return jobs[min(index, len(jobs) - 1)]
 
     def _accepts(
         self, job: Job, kind: TaskKind, machine_id: int, fairness: FairnessView
@@ -493,8 +487,8 @@ class EAntScheduler(Scheduler):
         kind: TaskKind,
         machine_id: int,
         fairness: FairnessView,
-        taus: np.ndarray,
-        weights: np.ndarray,
+        taus: List[float],
+        weights: List[float],
     ) -> List[Dict[str, Any]]:
         """One audit row per candidate colony, from the Eq. 8 ``taus`` and
         ``weights`` the sampler already computed — never recomputed.
@@ -506,7 +500,7 @@ class EAntScheduler(Scheduler):
         :meth:`Tracer.decisions`); skipping the record objects keeps the
         traced hot path cheap.
         """
-        total = float(weights.sum())
+        total = sum_pairwise(weights)
         uniform = 1.0 / len(jobs)
         # Share computed once per decision, not once per row (_deficit would
         # re-walk the cluster's slot totals for every candidate).
@@ -521,15 +515,14 @@ class EAntScheduler(Scheduler):
         rows: List[Dict[str, Any]] = []
         for job, tau, weight in zip(jobs, taus, weights):
             headroom = share - (job.running_maps if is_map else job.running_reduces)
-            w = float(weight)
             rows.append(
                 {
                     "job_id": job.job_id,
-                    "tau": float(tau),
+                    "tau": tau,
                     "eta": fairness_eta(min_share, job.occupied_slots, pool_slots),
                     "deficit": headroom if headroom > 0.5 else 0.5,
-                    "weight": w,
-                    "probability": w / total if total > 0 else uniform,
+                    "weight": weight,
+                    "probability": weight / total if total > 0 else uniform,
                 }
             )
         return rows
@@ -656,7 +649,7 @@ class EAntScheduler(Scheduler):
         assert self.pheromones is not None
         candidates = list(jobs)
         taus, first_weights = self._selection_arrays(candidates, kind, machine_id, fairness)
-        weights: Optional[np.ndarray] = first_weights
+        weights: Optional[List[float]] = first_weights
         rows = (
             self._decision_rows(candidates, kind, machine_id, fairness, taus, first_weights)
             if self.tracer.enabled

@@ -17,9 +17,12 @@ per-machine-type constants obtained by least-squares system identification
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..cluster import MachineSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UtilizationSample",
@@ -92,8 +95,18 @@ class TaskEnergyModel:
         return (self.idle_share_watts + self.alpha_watts * sample.utilization) * sample.duration
 
     def estimate(self, samples: Sequence[UtilizationSample]) -> float:
-        """Eq. 2: total estimated energy of a task from its sample trace."""
-        return sum(self.sample_energy(sample) for sample in samples)
+        """Eq. 2: total estimated energy of a task from its sample trace.
+
+        Each window's joules are :meth:`sample_energy`'s expression, added
+        left to right — never builtin ``sum``, which is compensated from
+        Python 3.12 on and would move the estimate's last bits.
+        """
+        idle_share = self.idle_share_watts
+        alpha = self.alpha_watts
+        total = 0.0
+        for utilization, duration in samples:
+            total += (idle_share + alpha * utilization) * duration
+        return total
 
     def estimate_from_average(self, avg_utilization: float, duration: float) -> float:
         """Closed form when only the average utilization is known.
@@ -118,7 +131,7 @@ def samples_from_phases(
     phases: Sequence[Tuple[float, float]],
     delta_t: float = DEFAULT_DELTA_T,
     noise_factor=None,
-    noise_factors: Optional[Callable[[int], Sequence[float]]] = None,
+    noise_factors: Optional[Callable[[int], np.ndarray]] = None,
 ) -> List[UtilizationSample]:
     """Chop a multi-phase execution into heartbeat-window samples.
 
@@ -136,10 +149,11 @@ def samples_from_phases(
         Section IV-D.  ``None`` reports exact samples.
     noise_factors:
         Batched alternative to ``noise_factor``: a callable mapping a
-        sample count ``n`` to ``n`` factors in one call (e.g. one
-        vectorized lognormal draw, which numpy generates bit-identically
-        to ``n`` sequential scalar draws from the same stream).  Takes
-        precedence over ``noise_factor`` when both are given.
+        sample count ``n`` to an ndarray of ``n`` factors in one call
+        (e.g. one vectorized lognormal draw, which numpy generates
+        bit-identically to ``n`` sequential scalar draws from the same
+        stream).  Takes precedence over ``noise_factor`` when both are
+        given.
 
     Notes
     -----
@@ -160,34 +174,41 @@ def samples_from_phases(
         clock += duration
         boundaries.append((clock, utilization))
     total = clock
+    last = len(boundaries) - 1
     raw: List[Tuple[float, float]] = []  # (mean_util, duration) per window
     window_start = 0.0
     phase_index = 0
     while window_start < total - 1e-12:
-        window_end = min(window_start + delta_t, total)
+        # Conditionals, not min(): same values, no per-window builtin call.
+        window_end = window_start + delta_t
+        if total < window_end:
+            window_end = total
         # Time-weighted mean utilization across phases inside the window.
         weighted = 0.0
         cursor = window_start
         index = phase_index
         while cursor < window_end - 1e-12:
             phase_end, utilization = boundaries[index]
-            segment_end = min(phase_end, window_end)
+            segment_end = window_end if window_end < phase_end else phase_end
             weighted += (segment_end - cursor) * utilization
             cursor = segment_end
-            if cursor >= phase_end - 1e-12 and index < len(boundaries) - 1:
+            if cursor >= phase_end - 1e-12 and index < last:
                 index += 1
         duration = window_end - window_start
         raw.append((weighted / duration if duration > 0 else 0.0, duration))
         window_start = window_end
         # Advance the persistent phase pointer for the next window.
-        while phase_index < len(boundaries) - 1 and boundaries[phase_index][0] <= window_start + 1e-12:
+        while phase_index < last and boundaries[phase_index][0] <= window_start + 1e-12:
             phase_index += 1
     if noise_factors is not None:
-        factors = noise_factors(len(raw))
-        return [
-            UtilizationSample(max(0.0, mean_util * float(factor)), duration)
-            for (mean_util, duration), factor in zip(raw, factors)
-        ]
+        # tuple.__new__ builds the same UtilizationSample without the
+        # NamedTuple constructor's Python-level frame (one per window).
+        new = tuple.__new__
+        samples = []
+        for (mean_util, duration), factor in zip(raw, noise_factors(len(raw)).tolist()):
+            noisy = mean_util * factor
+            samples.append(new(UtilizationSample, (noisy if noisy > 0.0 else 0.0, duration)))
+        return samples
     if noise_factor is not None:
         return [
             UtilizationSample(max(0.0, mean_util * float(noise_factor())), duration)

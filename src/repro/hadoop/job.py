@@ -28,6 +28,12 @@ class TaskKind(enum.Enum):
     MAP = "map"
     REDUCE = "reduce"
 
+    # Identity hash instead of Enum's Python-level hash(self._name_): the
+    # members are singletons compared by identity, and colony keys
+    # (job_id, kind) are hashed on every pheromone lookup.  The name hash
+    # was already randomized per process, so no iteration order changes.
+    __hash__ = object.__hash__
+
 
 class TaskState(enum.Enum):
     """Lifecycle of a task (not an attempt)."""
