@@ -20,7 +20,9 @@ The naive bodies are faithful transcriptions of the pre-optimization
 code, not simplified rewrites: ``_stats`` recomputes the row normalizers
 on every query, ``total_slots`` re-sums the fleet, the simulator run
 loop composes :meth:`EventHeap.pop` + :meth:`Event._dispatch` one frame
-per event, the expiry sweep scans every tracker on every heartbeat, and
+per event, the expiry sweep scans every tracker on every heartbeat, the
+candidate lists scan every active job without consulting the
+pending-work ledger, E-Ant books slot offers one slot at a time, and
 the energy integrator goes through the :class:`PowerModel` helper
 methods.
 """
@@ -36,6 +38,7 @@ from ..cluster.topology import Cluster
 from ..hadoop.jobtracker import JobTracker
 from ..numerics import power, sum_sequential
 from ..observability.tracer import EventType
+from ..schedulers.base import Scheduler
 from ..simulation.engine import PRIORITY_NORMAL, PRIORITY_URGENT, Simulator
 from ..simulation.events import Event, SimulationError
 from .pheromone import ColonyKey, PheromoneTable
@@ -148,6 +151,55 @@ def _reference_selection_arrays(self, jobs, kind, machine_id, fairness):
         taus.append(tau)
         weights.append(power(tau, sharpness) * self._eta(job, kind, fairness))
     return taus, weights
+
+
+def _reference_select_tasks(self: EAntScheduler, status):
+    """Per-slot offer loop: every free slot is booked one at a time,
+    including the slots left idle for lack of work."""
+    assignments = []
+    stats = self.slot_stats
+    fairness = None
+    machine_id = status.machine_id
+    if status.free_map_slots:
+        pending = self.jobs_with_pending_maps()
+        for _ in range(status.free_map_slots):
+            stats["map_offered"] += 1
+            if not pending:
+                stats["map_no_work"] += 1
+                continue
+            if fairness is None:
+                fairness = self._fairness_view()
+            task = self._fill_map_slot(machine_id, fairness, pending)
+            if task is not None:
+                stats["map_filled"] += 1
+                assignments.append(task)
+                pending = self.jobs_with_pending_maps()
+    if status.free_reduce_slots:
+        schedulable = self.jobs_with_schedulable_reduces()
+        for _ in range(status.free_reduce_slots):
+            stats["reduce_offered"] += 1
+            if not schedulable:
+                stats["reduce_no_work"] += 1
+                continue
+            if fairness is None:
+                fairness = self._fairness_view()
+            task = self._fill_reduce_slot(machine_id, fairness, schedulable)
+            if task is not None:
+                stats["reduce_filled"] += 1
+                assignments.append(task)
+                schedulable = self.jobs_with_schedulable_reduces()
+    return assignments
+
+
+def _reference_jobs_with_pending_maps(self: Scheduler):
+    """Active jobs with a pending map, by a full scan (no ledger)."""
+    return [job for job in self.jt.active_jobs if job.pending_map_count > 0]
+
+
+def _reference_jobs_with_schedulable_reduces(self: Scheduler):
+    """Active jobs past the slowstart gate, by a full scan (no ledger)."""
+    slowstart = self.jt.config.reduce_slowstart
+    return [job for job in self.jt.active_jobs if job.reduces_schedulable(slowstart)]
 
 
 # ----------------------------------------------------------------- cluster
@@ -275,6 +327,9 @@ REFERENCE_PATCHES: Dict[Tuple[type, str], Any] = {
     (PheromoneTable, "_apply_update"): _reference_apply_update,
     (PheromoneTable, "_fold_into_group_profiles"): _reference_fold_into_group_profiles,
     (EAntScheduler, "_selection_arrays"): _reference_selection_arrays,
+    (EAntScheduler, "select_tasks"): _reference_select_tasks,
+    (Scheduler, "jobs_with_pending_maps"): _reference_jobs_with_pending_maps,
+    (Scheduler, "jobs_with_schedulable_reduces"): _reference_jobs_with_schedulable_reduces,
     (Cluster, "total_slots"): _reference_total_slots,
     (Simulator, "timeout"): _reference_timeout,
     (Simulator, "_schedule_dispatch"): _reference_schedule_dispatch,

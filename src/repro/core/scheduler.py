@@ -292,17 +292,19 @@ class EAntScheduler(Scheduler):
         # assignment (an accepted task changes pending/running counts for
         # the next slot); a rejected or idled offer leaves every job's
         # state and the list contents untouched, so the same list is
-        # offered to the tracker's remaining slots.  At thousand-node
-        # fleets most heartbeats find no pending work, and that common
-        # case now costs one list comprehension instead of one per slot.
+        # offered to the tracker's remaining slots.  Once the list is
+        # empty every remaining slot of the kind idles for lack of work,
+        # booked with one addition — at fleet scale that is most
+        # heartbeats, and the ledger-backed candidate query is O(1) then.
         machine_id = status.machine_id
-        if status.free_map_slots:
+        free = status.free_map_slots
+        if free:
+            stats["map_offered"] += free
             pending = self.jobs_with_pending_maps()
-            for _ in range(status.free_map_slots):
-                stats["map_offered"] += 1
+            for slot in range(free):
                 if not pending:
-                    stats["map_no_work"] += 1
-                    continue
+                    stats["map_no_work"] += free - slot
+                    break
                 if fairness is None:
                     fairness = self._fairness_view()
                 task = self._fill_map_slot(machine_id, fairness, pending)
@@ -310,13 +312,14 @@ class EAntScheduler(Scheduler):
                     stats["map_filled"] += 1
                     assignments.append(task)
                     pending = self.jobs_with_pending_maps()
-        if status.free_reduce_slots:
+        free = status.free_reduce_slots
+        if free:
+            stats["reduce_offered"] += free
             schedulable = self.jobs_with_schedulable_reduces()
-            for _ in range(status.free_reduce_slots):
-                stats["reduce_offered"] += 1
+            for slot in range(free):
                 if not schedulable:
-                    stats["reduce_no_work"] += 1
-                    continue
+                    stats["reduce_no_work"] += free - slot
+                    break
                 if fairness is None:
                     fairness = self._fairness_view()
                 task = self._fill_reduce_slot(machine_id, fairness, schedulable)

@@ -19,7 +19,15 @@ from ..energy.model import UtilizationSample
 from ..simulation import Event, Simulator
 from ..workloads import JobSpec, WorkloadProfile
 
-__all__ = ["TaskKind", "TaskState", "Task", "TaskAttempt", "TaskReport", "Job"]
+__all__ = [
+    "TaskKind",
+    "TaskState",
+    "Task",
+    "TaskAttempt",
+    "TaskReport",
+    "Job",
+    "PendingLedger",
+]
 
 
 class TaskKind(enum.Enum):
@@ -190,6 +198,37 @@ class TaskReport:
         return self.finish_time - self.start_time
 
 
+class PendingLedger:
+    """Cluster-wide pending-work counts over every admitted job.
+
+    Owned by the JobTracker and kept current by :class:`Job` at the only
+    transitions that move the counts: admission (:meth:`Job.attach_ledger`),
+    dispatch, requeue, and the map completion that crosses the reduce
+    slowstart gate.  A finished job holds no pending work, so the totals
+    over admitted jobs equal the totals over active ones.  Schedulers read
+    it to answer a heartbeat with no work of a kind in O(1) instead of
+    scanning every active job.
+    """
+
+    __slots__ = ("slowstart", "pending_maps", "pending_reduces", "schedulable_jobs")
+
+    def __init__(self, slowstart: float) -> None:
+        #: The cluster's ``reduce_slowstart`` (fixed for the run).
+        self.slowstart = slowstart
+        #: Pending map tasks across admitted jobs.
+        self.pending_maps = 0
+        #: Pending reduce tasks across admitted jobs.
+        self.pending_reduces = 0
+        #: Admitted jobs for which :meth:`Job.reduces_schedulable` holds.
+        self.schedulable_jobs = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<PendingLedger maps={self.pending_maps} reduces={self.pending_reduces} "
+            f"schedulable_jobs={self.schedulable_jobs}>"
+        )
+
+
 class Job:
     """A live job: task inventory, progress counters, completion events.
 
@@ -264,6 +303,8 @@ class Job:
         self.running_reduces = 0
         self.completed_maps = 0
         self.completed_reduces = 0
+        #: The admitting JobTracker's ledger (None until admission).
+        self._ledger: Optional[PendingLedger] = None
 
         self.maps_done_event: Event = sim.event()
         self.done_event: Event = sim.event()
@@ -320,8 +361,10 @@ class Job:
         """Whether reduce tasks may be launched yet (slowstart gate)."""
         if not self._num_pending_reduces:
             return False
-        needed = slowstart * len(self.maps)
-        return self.completed_maps >= needed
+        return self._past_slowstart(slowstart)
+
+    def _past_slowstart(self, slowstart: float) -> bool:
+        return self.completed_maps >= slowstart * len(self.maps)
 
     @property
     def completion_time(self) -> float:
@@ -329,6 +372,16 @@ class Job:
         if self.finish_time is None:
             raise ValueError(f"job {self.job_id} has not finished")
         return self.finish_time - self.submit_time
+
+    def attach_ledger(self, ledger: PendingLedger) -> None:
+        """Count this job's pending work into ``ledger`` (at admission)."""
+        if self._ledger is not None:
+            raise ValueError(f"job {self.job_id} already counted in a ledger")
+        self._ledger = ledger
+        ledger.pending_maps += self._num_pending_maps
+        ledger.pending_reduces += self._num_pending_reduces
+        if self.reduces_schedulable(ledger.slowstart):
+            ledger.schedulable_jobs += 1
 
     # --------------------------------------------------------- task dispatch
     def local_pending_map(self, machine_id: int) -> Optional[Task]:
@@ -387,12 +440,19 @@ class Job:
         if task.state is not TaskState.PENDING:
             raise ValueError(f"{task.task_id} is not pending")
         task.state = TaskState.RUNNING
+        ledger = self._ledger
         if task.is_map:
             self.running_maps += 1
             self._num_pending_maps -= 1
+            if ledger is not None:
+                ledger.pending_maps -= 1
         else:
             self.running_reduces += 1
             self._num_pending_reduces -= 1
+            if ledger is not None:
+                ledger.pending_reduces -= 1
+                if not self._num_pending_reduces and self._past_slowstart(ledger.slowstart):
+                    ledger.schedulable_jobs -= 1
         if self.start_time is None:
             self.start_time = self.sim.now
 
@@ -402,14 +462,21 @@ class Job:
             raise ValueError(f"{task.task_id} is not running")
         task.state = TaskState.PENDING
         task._pending_seq += 1
+        ledger = self._ledger
         if task.is_map:
             self.running_maps -= 1
             self._num_pending_maps += 1
             self._pending_maps.append((task._pending_seq, task))
+            if ledger is not None:
+                ledger.pending_maps += 1
         else:
             self.running_reduces -= 1
             self._num_pending_reduces += 1
             self._pending_reduces.append((task._pending_seq, task))
+            if ledger is not None:
+                ledger.pending_reduces += 1
+                if self._num_pending_reduces == 1 and self._past_slowstart(ledger.slowstart):
+                    ledger.schedulable_jobs += 1
 
     def complete_task(self, task: Task) -> None:
         """Mark a running task completed; fires barriers when crossed."""
@@ -421,7 +488,16 @@ class Job:
         task.state = TaskState.COMPLETED
         if task.is_map:
             self.running_maps -= 1
+            ledger = self._ledger
+            gated = (
+                ledger is not None
+                and self._num_pending_reduces
+                and not self._past_slowstart(ledger.slowstart)
+            )
             self.completed_maps += 1
+            if gated and self._past_slowstart(ledger.slowstart):
+                # This completion opened the slowstart gate.
+                ledger.schedulable_jobs += 1
             if self.maps_done and not self.maps_done_event.triggered:
                 self.maps_done_event.succeed(self.sim.now)
         else:

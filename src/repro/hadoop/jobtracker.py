@@ -27,7 +27,7 @@ from ..simulation import Event, Simulator
 from ..workloads import JobSpec
 from .config import HadoopConfig
 from .hdfs import BlockPlacer
-from .job import Job, Task, TaskAttempt, TaskReport
+from .job import Job, PendingLedger, Task, TaskAttempt, TaskReport
 from .tasktracker import TaskTracker
 
 # Imported after the hadoop leaf modules above: repro.core's package init
@@ -114,6 +114,9 @@ class JobTracker:
 
         self.jobs: Dict[int, Job] = {}
         self.active_jobs: List[Job] = []
+        #: Pending maps/reduces and reduce-schedulable jobs over every
+        #: admitted job, kept current by the jobs themselves.
+        self.ledger = PendingLedger(config.reduce_slowstart)
         self.completed_jobs: List[Job] = []
         self.trackers: Dict[int, TaskTracker] = {}
         self.last_heartbeat: Dict[int, float] = {}
@@ -216,8 +219,8 @@ class JobTracker:
                 self.sim.now,
                 index=index,
                 active_jobs=len(self.active_jobs),
-                pending_maps=sum(j.pending_map_count for j in self.active_jobs),
-                pending_reduces=sum(j.pending_reduce_count for j in self.active_jobs),
+                pending_maps=self.ledger.pending_maps,
+                pending_reduces=self.ledger.pending_reduces,
             )
 
     # ------------------------------------------------------------- admission
@@ -243,12 +246,7 @@ class JobTracker:
             map_input_sizes=sizes,
             replica_hosts=replica_hosts,
         )
-        self.jobs[job_id] = job
-        self.active_jobs.append(job)
-        job.done_event.add_callback(lambda _e, j=job: self._job_done(j))
-        if self.tracer.enabled:
-            self._trace_job_submitted(job)
-        self.core.job_added(job)
+        self._admit(job)
         return job
 
     def _trace_job_submitted(self, job: Job) -> None:
@@ -267,13 +265,17 @@ class JobTracker:
         if job.job_id in self.jobs:
             raise ValueError(f"job id {job.job_id} already admitted")
         self._next_job_id = max(self._next_job_id, job.job_id + 1)
+        self._admit(job)
+        return job
+
+    def _admit(self, job: Job) -> None:
         self.jobs[job.job_id] = job
         self.active_jobs.append(job)
+        job.attach_ledger(self.ledger)
         job.done_event.add_callback(lambda _e, j=job: self._job_done(j))
         if self.tracer.enabled:
             self._trace_job_submitted(job)
         self.core.job_added(job)
-        return job
 
     def next_job_id(self) -> int:
         """Reserve the next job id (for submit_prepared callers)."""

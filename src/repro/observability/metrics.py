@@ -299,10 +299,8 @@ class SnapshotSampler:
             )
         if self.jobtracker is not None:
             jt = self.jobtracker
-            pending_maps = sum(j.pending_map_count for j in jt.active_jobs)
-            pending_reduces = sum(j.pending_reduce_count for j in jt.active_jobs)
-            self.registry.gauge("pending_maps").set(pending_maps)
-            self.registry.gauge("pending_reduces").set(pending_reduces)
+            self.registry.gauge("pending_maps").set(jt.ledger.pending_maps)
+            self.registry.gauge("pending_reduces").set(jt.ledger.pending_reduces)
             self.registry.gauge("active_jobs").set(len(jt.active_jobs))
         if self.tracer.enabled:
             self.tracer.emit(

@@ -491,9 +491,8 @@ class TelemetrySink:
         pending_maps = pending_reduces = 0
         active_jobs = completed_jobs = submitted_jobs = 0
         if jobtracker is not None:
-            for job in jobtracker.active_jobs:
-                pending_maps += job.pending_map_count
-                pending_reduces += job.pending_reduce_count
+            pending_maps = jobtracker.ledger.pending_maps
+            pending_reduces = jobtracker.ledger.pending_reduces
             active_jobs = len(jobtracker.active_jobs)
             completed_jobs = len(jobtracker.completed_jobs)
             # Admissions so far — under open-loop overload the gap between

@@ -344,12 +344,8 @@ def execute_spec(
                 jobs_unfinished=admitted - completed,
                 jobs_not_admitted=len(ordered) - admitted,
                 tasks_completed=len(jobtracker.reports),
-                maps_pending=sum(
-                    job.pending_map_count for job in jobtracker.active_jobs
-                ),
-                reduces_pending=sum(
-                    job.pending_reduce_count for job in jobtracker.active_jobs
-                ),
+                maps_pending=jobtracker.ledger.pending_maps,
+                reduces_pending=jobtracker.ledger.pending_reduces,
             )
 
     jobtracker.all_done_event.add_callback(on_all_done)

@@ -112,12 +112,22 @@ class Scheduler(abc.ABC):
         """Jobs admitted and not yet finished, in submission order."""
         return list(self.jt.active_jobs)
 
+    # Both candidate lists answer from the JobTracker's pending-work ledger
+    # when it reads zero — most heartbeats at fleet scale — and otherwise
+    # scan the active jobs in submission order.
+
     def jobs_with_pending_maps(self) -> List[Job]:
-        return [job for job in self.jt.active_jobs if job.pending_map_count > 0]
+        jt = self.jt
+        if not jt.ledger.pending_maps:
+            return []
+        return [job for job in jt.active_jobs if job.pending_map_count > 0]
 
     def jobs_with_schedulable_reduces(self) -> List[Job]:
-        slowstart = self.jt.config.reduce_slowstart
-        return [job for job in self.jt.active_jobs if job.reduces_schedulable(slowstart)]
+        jt = self.jt
+        if not jt.ledger.schedulable_jobs:
+            return []
+        slowstart = jt.config.reduce_slowstart
+        return [job for job in jt.active_jobs if job.reduces_schedulable(slowstart)]
 
     def total_cluster_slots(self) -> int:
         """``S_pool`` of Eq. 7 — all slots in the cluster."""

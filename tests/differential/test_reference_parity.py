@@ -8,6 +8,11 @@ pre-optimization implementations — and the two
 The digest covers every float in the portable record via ``float.hex()``
 projections, so "match" here means bit-identical simulations, not
 approximately-equal metrics.
+
+E-Ant's ``slot_stats`` (offered / filled / no-work slot counts) are not
+part of the digest, so they are compared separately: the optimized path
+books a kind with no work in one addition, the reference one slot at a
+time, and the counts must agree exactly.
 """
 
 import pytest
@@ -22,19 +27,24 @@ CORPUS = build_corpus()
 LARGE_FLEET_CORPUS = build_large_fleet_corpus()
 
 
-def _digest(spec, precision=None) -> str:
+def _run(spec, precision=None):
+    """(record digest, E-Ant slot_stats or None) of one execution."""
     result = execute_spec(spec)
-    return record_digest(build_record(spec, result, wall_seconds=0.0), precision=precision)
+    digest = record_digest(build_record(spec, result, wall_seconds=0.0), precision=precision)
+    return digest, getattr(result.scheduler, "slot_stats", None)
 
 
 @pytest.mark.parametrize("name,spec", CORPUS, ids=[name for name, _ in CORPUS])
 def test_optimized_matches_reference(name, spec):
-    optimized = _digest(spec)
+    optimized, optimized_slots = _run(spec)
     with reference_mode():
-        reference = _digest(spec)
+        reference, reference_slots = _run(spec)
     assert optimized == reference, (
         f"{name}: optimized run diverged from the naive reference — "
         "an optimization changed observable behaviour"
+    )
+    assert optimized_slots == reference_slots, (
+        f"{name}: E-Ant slot_stats diverged from the per-slot reference booking"
     )
 
 
@@ -50,12 +60,15 @@ def test_large_fleet_matches_reference_at_tolerance(name, spec):
     non-float value are still compared exactly.  ``reference_mode()``
     exercises the full scalar scoring/update path at scale.
     """
-    optimized = _digest(spec, precision=LARGE_FLEET_PRECISION)
+    optimized, optimized_slots = _run(spec, precision=LARGE_FLEET_PRECISION)
     with reference_mode():
-        reference = _digest(spec, precision=LARGE_FLEET_PRECISION)
+        reference, reference_slots = _run(spec, precision=LARGE_FLEET_PRECISION)
     assert optimized == reference, (
         f"{name}: large-fleet run diverged from the naive reference "
         f"beyond 1 part in 1e{LARGE_FLEET_PRECISION}"
+    )
+    assert optimized_slots == reference_slots, (
+        f"{name}: E-Ant slot_stats diverged from the per-slot reference booking"
     )
 
 
