@@ -24,7 +24,7 @@ Quickstart::
     print(result.summary())
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from .cluster import Cluster, MachineSpec, PowerModel, paper_fleet
 from .core import (

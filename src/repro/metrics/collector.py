@@ -85,9 +85,8 @@ class CollectorSummary(_CollectorProjections):
     reports_seen: int
     local_maps: int
     total_maps: int
-    #: Finish time of every completed task, in report order (defaulted so
-    #: summaries pickled before this field existed still unpickle).
-    completion_times: Tuple[float, ...] = ()
+    #: Finish time of every completed task, in report order.
+    completion_times: Tuple[float, ...]
 
 
 @dataclass

@@ -14,19 +14,21 @@ Layout (one directory per salt, fanned out by the first hash byte)::
     <cache-dir>/
       v1-<salt12>/
         ab/
-          <spec-hash>.pkl        # pickled RunRecord
+          <spec-hash>.json       # one spool line: the record as JSON data
           <spec-hash>.spec.json  # the spec's canonical JSON (debugging)
 
-The default cache directory is ``$EANT_REPRO_CACHE_DIR``, else
+An entry is one :mod:`~repro.runner.spool` line: a hit passes the spool's
+line checks and never runs code; a damaged entry is a miss and is removed.
+``<spec-hash>.pkl`` entries of older generations are never read, but
+:meth:`ResultCache.gc` still inventories and evicts them.  The default
+cache directory is ``$EANT_REPRO_CACHE_DIR``, else
 ``$XDG_CACHE_HOME/eant-repro``, else ``~/.cache/eant-repro``.
-Corrupt or unreadable entries are treated as misses and removed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
 from .record import RunRecord
+from .spool import decode_line, encode_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .spec import ScenarioSpec
@@ -169,25 +172,25 @@ class ResultCache:
 
     def path_for(self, spec: "ScenarioSpec") -> Path:
         digest = spec.spec_hash()
-        return self.generation_dir / digest[:2] / f"{digest}.pkl"
+        return self.generation_dir / digest[:2] / f"{digest}.json"
 
     # ----------------------------------------------------------- get / put
     def get(self, spec: "ScenarioSpec") -> Optional[RunRecord]:
         """The cached record for ``spec``, or ``None`` on a miss.
 
-        A corrupt entry (truncated pickle, wrong type) counts as a miss
-        and is evicted so the slot heals on the next store.
+        An entry that fails any line check (truncated, damaged, another
+        spec's record) counts as a miss and is evicted so the slot heals
+        on the next store.
         """
         path = self.path_for(spec)
         if not path.exists():
             self.stats.misses += 1
             return None
         try:
-            with open(path, "rb") as handle:
-                record = pickle.load(handle)
-            if not isinstance(record, RunRecord):
-                raise TypeError(f"cache entry is {type(record).__name__}, not RunRecord")
-        except Exception:
+            spec_hash, _digest, record = decode_line(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # SpoolLineError, UnicodeDecodeError
+            spec_hash = None
+        if spec_hash != path.stem:
             self.stats.misses += 1
             self.stats.evictions += 1
             try:
@@ -208,12 +211,13 @@ class ResultCache:
         """Store ``record`` under ``spec``'s content address (atomically)."""
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
+        line, _digest = encode_record(record)
         # Write-then-rename so concurrent sweep workers never observe a
-        # half-written pickle.
+        # half-written entry.
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(record, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(line + "\n")
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -229,13 +233,13 @@ class ResultCache:
     # ------------------------------------------------------------------- GC
     def entries(self) -> Iterator["CacheEntry"]:
         """Every stored record across *all* code generations, cheapest
-        metadata only (no unpickling)."""
+        metadata only (nothing is read)."""
         if not self.directory.exists():
             return
         for gen_dir in sorted(self.directory.glob("v1-*")):
             if not gen_dir.is_dir():
                 continue
-            for path in sorted(gen_dir.rglob("*.pkl")):
+            for path in _entry_paths(gen_dir):
                 try:
                     stat = path.stat()
                 except OSError:  # racing deletion
@@ -331,14 +335,12 @@ class ResultCache:
     def clear_generation(self) -> int:
         """Delete every entry of the current code generation; returns the
         number of records removed."""
-        removed = 0
         root = self.generation_dir
         if not root.exists():
             return 0
+        removed = len(_entry_paths(root))
         for path in sorted(root.rglob("*"), reverse=True):
             if path.is_file():
-                if path.suffix == ".pkl":
-                    removed += 1
                 path.unlink()
             else:
                 try:
@@ -350,3 +352,13 @@ class ResultCache:
         except OSError:
             pass
         return removed
+
+
+def _entry_paths(gen_dir: Path) -> List[Path]:
+    """A generation's entry files, sorted: JSON lines, plus the pickles of
+    older generations (GC only); sidecars and temp files excluded."""
+    return sorted(
+        path
+        for path in gen_dir.rglob("*")
+        if path.suffix in (".json", ".pkl") and not path.name.endswith(".spec.json")
+    )

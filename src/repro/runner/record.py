@@ -1,13 +1,18 @@
-"""Portable run results: everything the figure harnesses consume, picklable.
+"""Portable run results: everything the figure harnesses consume, as JSON data.
 
 A :class:`~repro.runner.engine.ScenarioResult` holds the *live* simulation
 object graph (simulator, cluster, jobtracker) — great for interactive
-inspection, impossible to pickle across a ``multiprocessing`` boundary or
+inspection, impossible to ship across a ``multiprocessing`` boundary or
 store in a cache.  :class:`RunRecord` is its portable projection: the
 :class:`~repro.metrics.RunMetrics` (with a detached collector), the fleet
 composition, optional meter readings, the E-Ant convergence summary, and
 per-job phase breakdowns.  :func:`build_record` derives one from a
 finished result.
+
+One projection serves identity and storage: :func:`record_to_data` (floats
+as ``float.hex()`` strings) is what cache and spool store,
+:func:`record_from_data` decodes it by type hints without running code,
+and :func:`record_digest` hashes it minus the digest-excluded sections.
 
 Serial execution, parallel workers, and cache restoration all hand back
 the same ``RunRecord`` content for the same spec — the bit-identity
@@ -16,12 +21,16 @@ guarantee the sweep runner is built on.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass, field
-from typing import Any, TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Any, TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..core import EAntScheduler
 from ..energy.meter import MeterReading
@@ -40,7 +49,10 @@ __all__ = [
     "ConvergenceRecord",
     "BacklogRecord",
     "build_record",
+    "data_digest",
     "record_digest",
+    "record_from_data",
+    "record_to_data",
 ]
 
 
@@ -70,6 +82,10 @@ def _digestable(value: Any, precision: Optional[int] = None) -> Any:
         # %.*e canonicalizes -0.0/0.0 apart but folds last-ulp noise;
         # nan/inf format to their names, which is fine for a digest.
         return f"{value:.{precision}e}"
+    if isinstance(value, TelemetryRecord):
+        # Storage only (the digest strips it): ndarray columns have no
+        # exact projection, so telemetry keeps its JSON export form.
+        return value.to_json_dict()
     if isinstance(value, enum.Enum):
         return _digestable(value.value, precision)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -80,13 +96,12 @@ def _digestable(value: Any, precision: Optional[int] = None) -> Any:
     if isinstance(value, (tuple, list)):
         return [_digestable(item, precision) for item in value]
     if isinstance(value, dict):
-        # Sort by the projected key so the digest does not depend on dict
-        # insertion order (tuple keys become their repr).
-        items = [
-            (repr(_digestable(k, precision)), _digestable(v, precision))
+        # Keys become the repr of their projected key (tuple keys too).
+        # Insertion order is kept for storage; the digest sorts keys.
+        return {
+            repr(_digestable(k, precision)): _digestable(v, precision)
             for k, v in value.items()
-        ]
-        return {key: item for key, item in sorted(items, key=lambda kv: kv[0])}
+        }
     # Numpy scalars (and anything else float-like) fold to exact doubles.
     if hasattr(value, "item"):
         return _digestable(value.item(), precision)
@@ -98,32 +113,32 @@ def record_digest(record: "RunRecord", precision: Optional[int] = None) -> str:
 
     With ``precision=None`` (the exact tier) two digests match iff the two
     records are bit-identical in every number, string, and shape (modulo
-    dict ordering).  With an integer ``precision`` (the float-tolerance
-    tier) floats are rounded to that many scientific-notation digits
-    first, so the digest tolerates sub-ulp accumulation differences while
-    still pinning structure and every non-float value exactly.
-    ``wall_seconds`` is host timing, not simulation outcome, so it is
-    excluded either way — as are the ``telemetry`` and ``profile``
-    sections, which hold host wall-clock measurements and observational
-    time-series whose sample count depends on the sampling interval.
-    Dropping them keeps the digest payload byte-identical to records
-    produced before telemetry existed, so frozen golden digests survive.
+    dict ordering); it equals :func:`data_digest` of
+    :func:`record_to_data`.  With an integer ``precision`` (the
+    float-tolerance tier) floats are rounded to that many
+    scientific-notation digits first, so the digest tolerates sub-ulp
+    accumulation differences while still pinning structure and every
+    non-float value exactly.
     """
-    stripped = record
     if getattr(record, "telemetry", None) is not None or getattr(record, "profile", None) is not None:
-        # Null the sections *before* projecting: ndarray columns are not
-        # digestable, and they must not be.
-        stripped = dataclasses.replace(record, telemetry=None, profile=None)
-    data = _digestable(stripped, precision)
-    data.pop("wall_seconds", None)
-    data.pop("telemetry", None)
-    data.pop("profile", None)
-    if data.get("backlog") is None:
-        # Key absent when empty: closed-loop records keep the digest
-        # payload they had before open-loop mode existed.
-        data.pop("backlog", None)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        # Null the sections *before* projecting: they are not digested.
+        record = dataclasses.replace(record, telemetry=None, profile=None)
+    return data_digest(_digestable(record, precision))
+
+
+#: Host timing and observational sections, not simulation outcome; leaving
+#: them out keeps pre-telemetry golden digests byte-identical.
+_DIGEST_EXCLUDED = frozenset({"wall_seconds", "telemetry", "profile"})
+
+
+def data_digest(data: Dict[str, Any]) -> str:
+    """Exact-tier digest of :func:`record_to_data` output, without decoding."""
+    payload = {k: v for k, v in data.items() if k not in _DIGEST_EXCLUDED}
+    if payload.get("backlog") is None:
+        # Closed-loop records keep their pre-open-loop digest payload.
+        payload.pop("backlog", None)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -232,6 +247,69 @@ class RunRecord:
     #: seconds of wall-clock time the producing run took (0.0 on restore
     #: from cache the field keeps the *original* run's cost)
     wall_seconds: float = 0.0
+
+
+def record_to_data(record: RunRecord) -> Dict[str, Any]:
+    """``record`` as plain JSON data: the exact-tier projection of every
+    field (``telemetry`` in its :meth:`TelemetryRecord.to_json_dict` form)."""
+    return _digestable(record)
+
+
+def record_from_data(data: Any) -> RunRecord:
+    """Decode :func:`record_to_data` output into an equal :class:`RunRecord`,
+    by the dataclass type hints only; data of another shape raises."""
+    return _decoder(RunRecord)(data)
+
+
+#: Projected dict keys are ``repr`` strings; parsing one is the costly
+#: step of a decode, and the same keys (job names, machine models) recur.
+_parse_key = functools.lru_cache(maxsize=1 << 16)(ast.literal_eval)
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """The decoder of one type hint, built once per hint."""
+    if hint is TelemetryRecord:
+        return TelemetryRecord.from_json_dict
+    if hint is float:
+        # Ints stay ints: a float field holding an int projects as that int.
+        return lambda value: float.fromhex(value) if isinstance(value, str) else value
+    if hint in (str, int, bool):
+        return lambda value: value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) == 1:
+            decode = _decoder(arms[0])
+            return lambda value: None if value is None else decode(value)
+        # A union of dataclasses: the arm is the one with the data's fields.
+        by_fields = {frozenset(f.name for f in dataclasses.fields(a)): a for a in arms}
+        return lambda value: _decoder(by_fields[frozenset(value)])(value)
+    if origin is tuple and args[-1] is Ellipsis:
+        decode = _decoder(args[0])
+        return lambda value: tuple(map(decode, value))
+    if origin is tuple:
+        decoders = [_decoder(arg) for arg in args]
+        return lambda value: tuple(d(v) for d, v in zip(decoders, value, strict=True))
+    if origin is list:
+        decode = _decoder(args[0])
+        return lambda value: list(map(decode, value))
+    if origin is dict:
+        decode_key, decode_value = map(_decoder, args)
+        return lambda value: {
+            decode_key(_parse_key(k)): decode_value(v) for k, v in value.items()
+        }
+    if not dataclasses.is_dataclass(hint):
+        raise TypeError(f"no record decoder for {hint!r}")
+    hints = typing.get_type_hints(hint)
+    fields = [(f.name, _decoder(hints[f.name])) for f in dataclasses.fields(hint)]
+
+    def decode_dataclass(value: Any) -> Any:
+        if len(value) != len(fields):
+            raise ValueError(f"{hint.__name__} has {len(fields)} fields, not {len(value)}")
+        return hint(**{name: decode(value[name]) for name, decode in fields})
+
+    return decode_dataclass
 
 
 def build_record(spec: "ScenarioSpec", result: "ScenarioResult", wall_seconds: float = 0.0) -> RunRecord:

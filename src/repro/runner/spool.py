@@ -4,19 +4,21 @@ A :class:`ResultSpool` is an append-only JSONL file the sweep runner
 flushes each :class:`~repro.runner.record.RunRecord` into *as it
 completes*, so a 10k-scenario sweep holds at most a pool-chunk of records
 in memory and a SIGKILL at any byte loses at most the work in flight.
-Each line is self-validating::
+Each line is self-validating JSON, readable with ``jq``::
 
-    {"v": 1, "spec": "<spec-hash>", "digest": "<record-digest>",
-     "sha": "<sha256(payload)[:16]>", "payload": "<base64(pickle(record))>"}
+    {"v": 2, "spec": "<spec-hash>", "digest": "<record-digest>",
+     "sha": "<sha256(record JSON)[:16]>", "record": {...}}
 
-* ``sha`` detects truncated or bit-flipped payloads without unpickling;
+* ``record`` is :func:`~repro.runner.record.record_to_data` of the
+  record; reading it decodes data by type and never runs code;
+* ``sha`` detects truncated or bit-flipped records before decoding;
 * ``digest`` is :func:`~repro.runner.record.record_digest` of the record,
-  recomputed after unpickling, so a line that decodes but does not match
-  its own digest is treated as damage, never as a result;
-* damaged or unparsable lines are **skipped with a warning and their
-  specs re-run** — in the trace loader's ``file:line:`` diagnostic
-  convention — so a crash mid-write degrades to a little redundant work,
-  never to silent loss;
+  recomputed from the stored data: a line that does not match its own
+  digest is treated as damage, never as a result;
+* damaged or unparsable lines, and lines of an older version, are
+  **skipped with a warning and their specs re-run** — in the trace
+  loader's ``file:line:`` diagnostic convention — so a crash mid-write
+  degrades to a little redundant work, never to silent loss;
 * duplicate spec hashes keep the first valid occurrence (later ones are
   redundant re-runs of the same deterministic spec).
 
@@ -39,15 +41,15 @@ production runs never set it.
 
 from __future__ import annotations
 
-import base64
+import dataclasses
 import hashlib
 import json
 import os
-import pickle
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -58,7 +60,8 @@ from typing import (
     Union,
 )
 
-from .record import RunRecord, record_digest
+from .record import RunRecord, data_digest, record_from_data, record_to_data
+from .record import record_digest  # noqa: F401 - perfbench wraps this module's name
 
 __all__ = [
     "ResultSpool",
@@ -70,7 +73,9 @@ __all__ = [
 ]
 
 #: Bumped if the line schema changes shape.
-SPOOL_VERSION = 1
+SPOOL_VERSION = 2
+
+_COMPACT = (",", ":")
 
 #: Crash-test hook (see module docstring).
 KILL_AFTER_ENV = "EANT_REPRO_SPOOL_KILL_AFTER"
@@ -82,30 +87,34 @@ class SpoolLineError(ValueError):
     """One spool line failed validation (the reason is the message)."""
 
 
-def encode_line(spec_hash: str, record: RunRecord) -> str:
-    """Render one record as a self-validating spool line (no newline)."""
-    payload = base64.b64encode(
-        pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-    return json.dumps(
-        {
-            "v": SPOOL_VERSION,
-            "spec": spec_hash,
-            "digest": record_digest(record),
-            "sha": hashlib.sha256(payload.encode("ascii")).hexdigest()[:16],
-            "payload": payload,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+def encode_line(data: Dict[str, Any], digest: str) -> str:
+    """Render record data (:func:`~repro.runner.record.record_to_data`)
+    and its digest as one self-validating line (no newline)."""
+    body = json.dumps(data, separators=_COMPACT)
+    return (
+        f'{{"v":{SPOOL_VERSION},"spec":{json.dumps(data["spec_hash"])},'
+        f'"digest":"{digest}","sha":"{_sha(body)}","record":{body}}}'
     )
 
 
+def encode_record(record: RunRecord) -> Tuple[str, str]:
+    """``(line, digest)`` of one record: projected once, digested once."""
+    data = record_to_data(record)
+    digest = data_digest(data)
+    return encode_line(data, digest), digest
+
+
+def _sha(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+
+
 def decode_line(text: str) -> Tuple[str, str, RunRecord]:
-    """Parse and *verify* one spool line -> ``(spec_hash, digest, record)``.
+    """Parse and *verify* one line -> ``(spec_hash, digest, record)``.
 
     Raises :class:`SpoolLineError` on any damage: bad JSON, missing keys,
-    wrong version, checksum mismatch, unpicklable payload, wrong type, or
-    a record that does not reproduce its claimed digest.
+    wrong version, checksum mismatch, data that does not decode to a
+    :class:`RunRecord`, a record of another spec, or one that does not
+    reproduce its claimed digest.
     """
     try:
         data = json.loads(text)
@@ -113,34 +122,26 @@ def decode_line(text: str) -> Tuple[str, str, RunRecord]:
         raise SpoolLineError(f"not valid JSON ({error})") from None
     if not isinstance(data, dict):
         raise SpoolLineError("line is not a JSON object")
+    if data.get("v") != SPOOL_VERSION:
+        raise SpoolLineError(f"unsupported spool version {data.get('v')!r}")
     try:
-        version = data["v"]
-        spec_hash = data["spec"]
-        digest = data["digest"]
-        sha = data["sha"]
-        payload = data["payload"]
+        spec_hash, digest, sha, body = [data[k] for k in ("spec", "digest", "sha", "record")]
     except KeyError as error:
         raise SpoolLineError(f"missing key {error}") from None
-    if version != SPOOL_VERSION:
-        raise SpoolLineError(f"unsupported spool version {version!r}")
-    if not all(isinstance(v, str) for v in (spec_hash, digest, sha, payload)):
-        raise SpoolLineError("spec/digest/sha/payload must be strings")
-    if hashlib.sha256(payload.encode("ascii")).hexdigest()[:16] != sha:
-        raise SpoolLineError("payload checksum mismatch")
+    if not all(isinstance(v, str) for v in (spec_hash, digest, sha)):
+        raise SpoolLineError("spec/digest/sha must be strings")
+    if _sha(json.dumps(body, separators=_COMPACT)) != sha:
+        raise SpoolLineError("record checksum mismatch")
     try:
-        record = pickle.loads(base64.b64decode(payload.encode("ascii")))
-    except Exception as error:
-        raise SpoolLineError(f"payload does not unpickle ({error})") from None
-    if not isinstance(record, RunRecord):
-        raise SpoolLineError(
-            f"payload is {type(record).__name__}, not RunRecord"
-        )
+        record = record_from_data(body)
+    except Exception as error:  # outside data: any decode failure is damage
+        raise SpoolLineError(f"record does not decode ({error!r})") from None
     if record.spec_hash != spec_hash:
         raise SpoolLineError(
-            f"record belongs to spec {record.spec_hash[:12]}, line claims "
-            f"{str(spec_hash)[:12]}"
+            f"record belongs to spec {record.spec_hash!s:.12}, line claims "
+            f"{spec_hash[:12]}"
         )
-    if record_digest(record) != digest:
+    if data_digest(body) != digest:
         raise SpoolLineError("record does not reproduce its claimed digest")
     return spec_hash, digest, record
 
@@ -171,9 +172,9 @@ class ResultSpool:
         )
 
     # --------------------------------------------------------------- writing
-    def append(self, record: RunRecord) -> None:
-        """Write one record and flush it to the OS before returning."""
-        line = encode_line(record.spec_hash, record)
+    def append(self, record: RunRecord) -> str:
+        """Write one record, flush it to the OS, and return its digest."""
+        line, digest = encode_record(record)
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
@@ -199,6 +200,7 @@ class ResultSpool:
         self._appended += 1
         if self._appended == self._kill_after:  # pragma: no cover - subprocess rig
             os.kill(os.getpid(), signal.SIGKILL)
+        return digest
 
     def close(self) -> None:
         if self._handle is not None:
@@ -287,8 +289,9 @@ class SweepAggregate:
     jobs_completed: int = 0
     total_run_seconds: float = 0.0
 
-    def add(self, record: RunRecord) -> None:
-        self.entries[record.spec_hash] = record_digest(record)
+    def add(self, record: RunRecord, digest: str) -> None:
+        """Fold in one record whose digest the spool already computed."""
+        self.entries[record.spec_hash] = digest
         self.records += 1
         metrics = record.metrics
         self.total_energy_kj += metrics.total_energy_kj
@@ -344,8 +347,6 @@ def merge_spools(
                 chosen[spec_hash] = (digest, record)
     entries = {h: d for h, (d, _) in chosen.items()}
     if out is not None:
-        import dataclasses
-
         out_path = Path(out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -361,7 +362,7 @@ def merge_spools(
                     telemetry=None,
                     profile=None,
                 )
-                handle.write(encode_line(spec_hash, record) + "\n")
+                handle.write(encode_record(record)[0] + "\n")
     return entries
 
 

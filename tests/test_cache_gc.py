@@ -6,6 +6,7 @@ hashes protected by a keep set (a live shard manifest's members) are
 never evicted by any bound.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -37,11 +38,23 @@ def record():
     return spec_for(0).run_record()
 
 
+def entry_files(root) -> list:
+    """Stored record files under ``root`` (spec sidecars excluded)."""
+    return [
+        path for path in root.rglob("*.json")
+        if not path.name.endswith(".spec.json")
+    ]
+
+
 def fill(cache: ResultCache, record, n: int, age_days=None) -> list:
-    """Store ``n`` entries; ``age_days[i]`` rewinds entry i's mtime."""
+    """Store ``n`` entries; ``age_days[i]`` rewinds entry i's mtime.
+
+    Each entry is ``record`` re-addressed to its spec: the cache rejects
+    an entry whose record belongs to another spec.
+    """
     specs = [spec_for(seed) for seed in range(n)]
     for index, spec in enumerate(specs):
-        path = cache.put(spec, record)
+        path = cache.put(spec, dataclasses.replace(record, spec_hash=spec.spec_hash()))
         if age_days is not None:
             mtime = NOW - age_days[index] * DAY
             os.utime(path, (mtime, mtime))
@@ -74,7 +87,7 @@ class TestAgeBound:
         fill(cache, record, 2, age_days=[30, 30])
         assert list(tmp_path.rglob("*.spec.json"))
         cache.gc(max_age_seconds=1 * DAY, now=NOW)
-        assert not list(tmp_path.rglob("*.pkl"))
+        assert not entry_files(tmp_path)
         assert not list(tmp_path.rglob("*.spec.json"))
         # Empty fan-out directories pruned too.
         assert not list(tmp_path.glob("v1-*"))
@@ -178,6 +191,31 @@ class TestCrossGeneration:
         )
         assert new.get(new_specs[0]) is not None
 
+    def test_legacy_pickle_generation_is_inventoried_and_evicted(self, tmp_path, record):
+        """``.pkl`` entries of an older generation are never read, but GC
+        still counts them and removes them with their sidecars."""
+        legacy = tmp_path / f"v1-{'0' * 12}"
+        hashes = sorted(spec_for(seed).spec_hash() for seed in (10, 11))
+        for spec_hash in hashes:
+            fan_out = legacy / spec_hash[:2]
+            fan_out.mkdir(parents=True, exist_ok=True)
+            entry = fan_out / f"{spec_hash}.pkl"
+            entry.write_bytes(b"\x80\x05legacy pickle bytes")
+            (fan_out / f"{spec_hash}.spec.json").write_text("{}\n")
+            mtime = NOW - 30 * DAY
+            os.utime(entry, (mtime, mtime))
+        cache = ResultCache(tmp_path)
+        fill(cache, record, 1, age_days=[1])
+
+        inventory = {entry.spec_hash: entry.generation for entry in cache.entries()}
+        assert {h: inventory[h] for h in hashes} == {h: legacy.name for h in hashes}
+        assert len(inventory) == 3
+
+        report = cache.gc(max_age_seconds=7 * DAY, now=NOW)
+        assert report.removed_hashes == hashes
+        assert not legacy.exists()  # entries, sidecars and empty dirs gone
+        assert len(entry_files(tmp_path)) == 1
+
 
 class TestCliSmoke:
     def test_cache_gc_cli_dry_then_real(self, tmp_path, record, capsys):
@@ -189,11 +227,11 @@ class TestCliSmoke:
 
         assert main(base + ["--max-size-mb", "0", "--dry-run"]) == 0
         assert "would remove 3" in capsys.readouterr().out
-        assert len(list(tmp_path.rglob("*.pkl"))) == 3
+        assert len(entry_files(tmp_path)) == 3
 
         assert main(base + ["--max-size-mb", "0"]) == 0
         assert "removed 3" in capsys.readouterr().out
-        assert not list(tmp_path.rglob("*.pkl"))
+        assert not entry_files(tmp_path)
 
     def test_cache_gc_requires_a_bound(self, tmp_path, capsys):
         from repro.cli import main

@@ -1,68 +1,49 @@
-"""The keyword-only migration shims: warn once, behave identically."""
+"""The keyword-only entrypoints after their deprecation release.
+
+``generate_msd_workload``, ``run_msd_comparison`` and ``figure_result``
+accepted legacy positional arguments with a ``DeprecationWarning`` for
+one release (1.0.0).  Since 1.1.0 positional use is a ``TypeError``, and
+keyword calls behave exactly as before, without a warning.
+"""
 
 import warnings
 
 import pytest
 
-from repro._compat import deprecated_positionals
-from repro.experiments import figure_result
-from repro.workloads import MSDConfig, generate_msd_workload
+from repro.experiments import figure_result, run_msd_comparison
 from repro.simulation import RandomStreams
+from repro.workloads import MSDConfig, generate_msd_workload
 
-
-@deprecated_positionals("alpha", "beta")
-def _example(*, alpha=1, beta=2):
-    return alpha, beta
-
-
-@deprecated_positionals("name", "scale", allowed=1)
-def _example_allowed(name, *, scale=10):
-    return name, scale
-
-
-class TestDecorator:
-    def test_keyword_call_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _example(alpha=5, beta=6) == (5, 6)
-
-    def test_positional_call_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="alpha=.*beta="):
-            assert _example(5, 6) == (5, 6)
-
-    def test_partial_positional_call(self):
-        with pytest.warns(DeprecationWarning, match="alpha="):
-            assert _example(5, beta=7) == (5, 7)
-
-    def test_duplicate_parameter_is_type_error(self):
-        with pytest.raises(TypeError, match="alpha"):
-            _example(5, alpha=9)
-
-    def test_excess_positionals_is_type_error(self):
-        with pytest.raises(TypeError, match="at most 2"):
-            _example(1, 2, 3)
-
-    def test_allowed_positionals_pass_silently(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _example_allowed("fig6") == ("fig6", 10)
-
-    def test_allowed_boundary_still_warns_beyond(self):
-        with pytest.warns(DeprecationWarning, match="beyond the first 1"):
-            assert _example_allowed("fig6", 99) == ("fig6", 99)
+POSITIONAL_CALLS = {
+    "generate_msd_workload": lambda: generate_msd_workload(
+        MSDConfig(n_jobs=6), RandomStreams(5)
+    ),
+    "run_msd_comparison": lambda: run_msd_comparison(7, 2),
+    "figure_result": lambda: figure_result("fig6", None),
+}
 
 
 class TestShimmedEntrypoints:
-    """The real deprecated call shapes keep producing identical results."""
+    """The formerly shimmed entrypoints, with the shims removed."""
 
-    def test_generate_msd_workload_positional_matches_keyword(self):
-        config = MSDConfig(n_jobs=6)
-        with pytest.warns(DeprecationWarning):
-            legacy = generate_msd_workload(config, RandomStreams(5))
-        modern = generate_msd_workload(config=config, streams=RandomStreams(5))
-        assert [(j.profile.name, j.input_mb, j.submit_time) for j in legacy] == [
-            (j.profile.name, j.input_mb, j.submit_time) for j in modern
+    @pytest.mark.parametrize("name", sorted(POSITIONAL_CALLS))
+    def test_positional_call_is_type_error(self, name):
+        with pytest.raises(TypeError, match="positional argument"):
+            POSITIONAL_CALLS[name]()
+
+    def test_keyword_calls_are_unchanged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jobs = generate_msd_workload(config=MSDConfig(n_jobs=6), streams=RandomStreams(5))
+            again = generate_msd_workload(config=MSDConfig(n_jobs=6), streams=RandomStreams(5))
+            comparison = run_msd_comparison(seed=7, n_jobs=2, schedulers=("fifo",))
+        assert len(jobs) == 6
+        assert [j.submit_time for j in jobs] == sorted(j.submit_time for j in jobs)
+        assert [(j.profile.name, j.input_mb, j.submit_time) for j in jobs] == [
+            (j.profile.name, j.input_mb, j.submit_time) for j in again
         ]
+        assert comparison.seed == 7
+        assert list(comparison.runs) == ["fifo"]
 
     def test_figure_result_name_stays_positional(self):
         # Single-positional ergonomics survive the migration: no warning.

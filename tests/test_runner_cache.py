@@ -89,6 +89,17 @@ class TestCorruption:
         cache.put(spec, record)
         assert cache.get(spec) is not None
 
+    def test_entry_of_another_spec_is_miss(self, tmp_path, spec, record):
+        cache = ResultCache(tmp_path)
+        other = spec.with_overrides(seed=2)
+        path = cache.put(spec, record)
+        foreign = cache.path_for(other)
+        foreign.parent.mkdir(parents=True, exist_ok=True)
+        foreign.write_bytes(path.read_bytes())
+        assert cache.get(other) is None
+        assert cache.stats.evictions == 1
+        assert not foreign.exists()
+
     def test_wrong_type_entry_is_miss(self, tmp_path, spec, record):
         cache = ResultCache(tmp_path)
         path = cache.put(spec, record)

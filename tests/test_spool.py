@@ -21,51 +21,72 @@ from repro.runner import (
     ScenarioSpec,
     SpoolLineError,
     SweepAggregate,
+    SweepRunner,
     aggregate_digest,
     digest_listing,
     merge_spools,
     record_digest,
 )
-from repro.runner.spool import decode_line, encode_line
+from repro.runner.spool import decode_line, encode_record
 from repro.workloads import puma_job
 
 # One tiny record per scheduler/seed, executed once per test session.
 _RECORDS: dict = {}
 
 
+def tiny_spec(seed: int = 0) -> ScenarioSpec:
+    return ScenarioSpec(
+        jobs=(puma_job("grep", 0.25),),
+        scheduler="fifo",
+        seed=seed,
+        label=f"fifo@{seed}",
+    )
+
+
 def tiny_record(seed: int = 0):
     if seed not in _RECORDS:
-        spec = ScenarioSpec(
-            jobs=(puma_job("grep", 0.25),),
-            scheduler="fifo",
-            seed=seed,
-            label=f"fifo@{seed}",
-        )
-        _RECORDS[seed] = spec.run_record()
+        _RECORDS[seed] = tiny_spec(seed).run_record()
     return _RECORDS[seed]
+
+
+def line_of(record) -> str:
+    return encode_record(record)[0]
+
+
+def resealed(data: dict) -> str:
+    """Re-render an edited line with a ``sha`` that matches its record."""
+    body = json.dumps(data["record"], separators=(",", ":"))
+    data["sha"] = hashlib.sha256(body.encode()).hexdigest()[:16]
+    return json.dumps(data)
 
 
 # ------------------------------------------------------------- line format
 class TestLineFormat:
     def test_roundtrip(self):
         record = tiny_record()
-        spec_hash, digest, decoded = decode_line(
-            encode_line(record.spec_hash, record)
-        )
+        spec_hash, digest, decoded = decode_line(line_of(record))
         assert spec_hash == record.spec_hash
         assert digest == record_digest(record)
+        assert decoded == record
         assert record_digest(decoded) == digest
 
     def test_encoding_is_deterministic(self):
         record = tiny_record()
-        assert encode_line(record.spec_hash, record) == encode_line(
-            record.spec_hash, record
-        )
+        assert line_of(record) == line_of(record)
+
+    def test_line_is_plain_json(self):
+        """Readable without repro: floats are ``float.hex`` strings."""
+        record = tiny_record()
+        data = json.loads(line_of(record))
+        assert data["v"] == 2
+        assert data["spec"] == data["record"]["spec_hash"] == record.spec_hash
+        makespan = data["record"]["metrics"]["makespan"]
+        assert float.fromhex(makespan) == record.metrics.makespan
 
     @pytest.mark.parametrize(
         "mutate,reason",
         [
-            (lambda d: d.pop("payload"), "missing key"),
+            (lambda d: d.pop("record"), "missing key"),
             (lambda d: d.update(v=99), "unsupported spool version"),
             (lambda d: d.update(sha="0" * 16), "checksum mismatch"),
             (lambda d: d.update(spec=123), "must be strings"),
@@ -73,46 +94,80 @@ class TestLineFormat:
     )
     def test_field_damage_is_detected(self, mutate, reason):
         record = tiny_record()
-        data = json.loads(encode_line(record.spec_hash, record))
+        data = json.loads(line_of(record))
         mutate(data)
         with pytest.raises(SpoolLineError, match=reason):
             decode_line(json.dumps(data))
 
     def test_wrong_payload_type_is_detected(self):
-        payload = base64.b64encode(pickle.dumps({"not": "a record"})).decode()
-        line = json.dumps(
+        """A checksummed JSON object that is not a RunRecord is damage."""
+        line = resealed(
             {
-                "v": 1,
+                "v": 2,
                 "spec": "a" * 64,
                 "digest": "b" * 64,
-                "sha": hashlib.sha256(payload.encode()).hexdigest()[:16],
-                "payload": payload,
+                "record": {"not": "a record"},
             }
         )
-        with pytest.raises(SpoolLineError, match="not RunRecord"):
+        with pytest.raises(SpoolLineError, match="does not decode"):
             decode_line(line)
 
     def test_spec_hash_mismatch_is_detected(self):
         record = tiny_record()
-        line = encode_line(record.spec_hash, record)
-        data = json.loads(line)
+        data = json.loads(line_of(record))
+        # The sha covers the record only, so the *semantic* check fires.
         data["spec"] = "f" * 64
-        # Keep sha consistent so the *semantic* check fires, not the checksum.
         with pytest.raises(SpoolLineError, match="belongs to spec"):
             decode_line(json.dumps(data))
 
     def test_digest_mismatch_is_detected(self):
         record = tiny_record()
-        data = json.loads(encode_line(record.spec_hash, record))
+        data = json.loads(line_of(record))
         data["digest"] = "0" * 64
         with pytest.raises(SpoolLineError, match="claimed digest"):
             decode_line(json.dumps(data))
+
+    def test_edited_record_with_resealed_sha_fails_its_digest(self):
+        record = tiny_record()
+        data = json.loads(line_of(record))
+        data["record"]["metrics"]["makespan"] = (1.0).hex()
+        with pytest.raises(SpoolLineError, match="claimed digest"):
+            decode_line(resealed(data))
 
     def test_not_json(self):
         with pytest.raises(SpoolLineError, match="not valid JSON"):
             decode_line("{truncated")
         with pytest.raises(SpoolLineError, match="not a JSON object"):
             decode_line("[1, 2, 3]")
+
+    def test_v1_pickle_line_is_unsupported_and_its_spec_reruns(self, tmp_path):
+        """A v1 spool (base64 pickle payloads) resumes by re-running."""
+        record = tiny_record()
+        payload = base64.b64encode(pickle.dumps(record)).decode("ascii")
+        v1_line = json.dumps(
+            {
+                "v": 1,
+                "spec": record.spec_hash,
+                "digest": record_digest(record),
+                "sha": hashlib.sha256(payload.encode()).hexdigest()[:16],
+                "payload": payload,
+            }
+        )
+        with pytest.raises(SpoolLineError, match="unsupported spool version 1"):
+            decode_line(v1_line)
+
+        path = tmp_path / "v1.jsonl"
+        path.write_text(v1_line + "\n")
+        warnings: list = []
+        runner = SweepRunner(workers=1, warn=warnings.append)
+        aggregate = runner.run_spooled([tiny_spec(0)], ResultSpool(path))
+        assert runner.last_report.executed == 1
+        assert runner.last_report.resumed == 0
+        assert aggregate.entries == {record.spec_hash: record_digest(record)}
+        assert any(
+            w.startswith(f"{path}:1: warning: unsupported spool version 1")
+            for w in warnings
+        )
 
 
 # ------------------------------------------------------------ damage scans
@@ -170,7 +225,7 @@ class TestDamageTolerance:
         path = tmp_path / "s.jsonl"
         write_spool(path, [tiny_record(0)])
         with open(path, "a") as handle:
-            handle.write('{"v":1,"spec":"torn')  # no newline — mid-write kill
+            handle.write('{"v":2,"spec":"torn')  # no newline — mid-write kill
         write_spool(path, [tiny_record(1)])
 
         warnings: list = []
@@ -267,8 +322,7 @@ class TestAggregate:
         with ResultSpool(path) as spool:
             for seed in range(3):
                 record = tiny_record(seed)
-                spool.append(record)
-                aggregate.add(record)
+                aggregate.add(record, spool.append(record))
         assert aggregate.records == 3
         assert aggregate.digest() == aggregate_digest(
             ResultSpool(path).completed()
