@@ -10,11 +10,13 @@ choosing-your-instrument matrix, and examples):
 * :mod:`.audit` — the scheduler decision audit log: one record per E-Ant
   slot decision decomposing Eqs. 3-8 (pheromone, heuristic, fairness,
   final probability) over the full candidate set.
-* :mod:`.metrics` — a labelled counter/gauge/histogram registry with
-  periodic snapshots on the simulation clock.
-* :mod:`.telemetry` — fleet-scale columnar time-series: per-interval
-  aggregates in NumPy ring buffers with per-machine-class rollups,
-  ``O(classes x samples)`` memory at any fleet size.
+* :mod:`.metrics` — a labelled counter/gauge/histogram registry
+  (assignments, heartbeat gaps, completions).
+* :mod:`.telemetry` — the one periodic sampler on the simulation clock:
+  fleet-scale columnar time-series (per-interval aggregates in NumPy ring
+  buffers with per-machine-class rollups, ``O(classes x samples)`` memory
+  at any fleet size), which on a traced run also emits each sample's
+  per-machine rows and registry snapshot as a ``metrics.snapshot`` event.
 * :mod:`.profiler` — wall-clock phase profiling of the kernel hot
   sections (dispatch, selection, energy integration, fault injection)
   into plain float slots.
@@ -33,7 +35,7 @@ from .exporters import (
     trace_summary,
     write_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, SnapshotSampler
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import (
     NULL_PROFILER,
     NullProfiler,
@@ -77,7 +79,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotSampler",
     "PhaseProfiler",
     "NullProfiler",
     "NULL_PROFILER",

@@ -26,6 +26,14 @@ Per sample the sink records:
   drained from the JobTracker's per-heartbeat buffers via
   :meth:`~repro.observability.metrics.Histogram.observe_many`.
 
+It is the one periodic sampler of a run besides the digest-bearing
+``ClusterMeter``.  When the JobTracker carries an enabled tracer, the same
+machine loop also builds per-machine rows (``id``, ``host``, ``model``,
+``util``, ``power_w``, cumulative ``joules``) and each sample is emitted as
+one ``metrics.snapshot`` trace event — with the JobTracker's
+:class:`~repro.observability.metrics.MetricsRegistry` snapshot when one is
+attached — which is what ``repro report`` replays into sparklines.
+
 Sampling is pure observation: it consumes no RNG and reads energy through
 the non-mutating ``projected_joules`` projection, so a telemetered run is
 bit-identical to a bare one (``tests/differential/test_telemetry_parity``
@@ -61,6 +69,7 @@ import numpy as np
 
 from .metrics import Histogram
 from .profiler import NULL_PROFILER, ProfileRecord
+from .tracer import NULL_TRACER, EventType
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import Cluster
@@ -337,7 +346,9 @@ class TelemetrySink:
         The live cluster; every sample iterates its machines once.
     jobtracker:
         Supplies queue depths, busy slots (via its trackers), job counts,
-        and stops the sampling process on shutdown.
+        and stops the sampling process on shutdown.  Its tracer, when
+        enabled, receives one ``metrics.snapshot`` event per sample, and
+        its registry (if any) is snapshotted into that event.
     scheduler:
         Sampled for pheromone row stats when it exposes a ``pheromones``
         table (E-Ant); the tau columns are NaN otherwise.
@@ -445,9 +456,10 @@ class TelemetrySink:
     def sample(self, now: float) -> None:
         """Record one fleet-wide sample at simulation time ``now``.
 
-        Read-only against the simulation: energy is read through the
-        non-mutating ``projected_joules`` projection and no RNG stream is
-        touched.
+        On a traced run the sample is also emitted as one
+        ``metrics.snapshot`` event.  Read-only against the simulation:
+        energy is read through the non-mutating ``projected_joules``
+        projection and no RNG stream is touched.
         """
         profiler = self.profiler
         started = perf_counter() if profiler.enabled else 0.0
@@ -467,12 +479,27 @@ class TelemetrySink:
         total_map = total_reduce = 0
         power_total = 0.0
         joules_total = 0.0
+        tracer = jobtracker.tracer if jobtracker is not None else NULL_TRACER
+        machine_rows: Optional[List[Dict[str, Any]]] = [] if tracer.enabled else None
         for machine in self.cluster:
-            model_index = class_index[machine.spec.model]
+            model = machine.spec.model
+            model_index = class_index[model]
             power = machine.power_watts()
             power_total += power
             power_row[model_index] += power
-            joules_total += machine.energy.projected_joules(now)
+            joules = machine.energy.projected_joules(now)
+            joules_total += joules
+            if machine_rows is not None:
+                machine_rows.append(
+                    {
+                        "id": machine.machine_id,
+                        "host": machine.hostname,
+                        "model": model,
+                        "util": machine.utilization,
+                        "power_w": power,
+                        "joules": joules,
+                    }
+                )
             if machine.decommissioned:
                 decommissioned += 1
                 continue
@@ -550,6 +577,12 @@ class TelemetrySink:
         for name, values in zip(CLASS_COLUMNS, scratch):
             store = self._class_stores[name]
             store.column(store.append_slot())[: values.shape[0]] = values
+
+        if machine_rows is not None:
+            payload: Dict[str, Any] = {"machines": machine_rows}
+            if jobtracker.registry is not None:
+                payload["metrics"] = jobtracker.registry.snapshot()
+            tracer.emit(EventType.METRICS_SNAPSHOT, now, **payload)
 
         if profiler.enabled:
             profiler.add("telemetry", perf_counter() - started)

@@ -35,7 +35,6 @@ from ..observability import (
     EventType,
     MetricsRegistry,
     PhaseProfiler,
-    SnapshotSampler,
     TelemetryConfig,
     TelemetrySink,
     Tracer,
@@ -137,8 +136,10 @@ def execute_spec(
         A path writes a JSONL trace there on completion; a
         :class:`~repro.observability.Tracer` collects events in memory.
         Either way a :class:`~repro.observability.MetricsRegistry` is
-        attached and periodic ``metrics.snapshot`` events are emitted
-        every ``spec.meter_interval`` simulated seconds.
+        attached, and a :class:`~repro.observability.TelemetrySink` emits
+        periodic ``metrics.snapshot`` events — every
+        ``spec.meter_interval`` simulated seconds, or at the telemetry
+        interval when ``telemetry`` is also set.
     telemetry:
         ``None``/``False`` (default) runs without the columnar telemetry
         layer.  ``True`` attaches a
@@ -231,18 +232,22 @@ def execute_spec(
         tracker.start(jobtracker)
         trackers.append(tracker)
 
+    # One periodic sampler serves both instruments: the columnar series,
+    # and — with a tracer on the JobTracker — the trace's metrics.snapshot
+    # rows.  A trace-only run samples at the meter's cadence.
     sink: Optional[TelemetrySink] = None
-    if telemetry_config is not None:
+    if telemetry_config is not None or tracer is not None:
+        sampling = telemetry_config or TelemetryConfig(interval=spec.meter_interval)
         sink = TelemetrySink(
             cluster,
             jobtracker=jobtracker,
             scheduler=policy,
             interval=(
-                telemetry_config.interval
-                if telemetry_config.interval is not None
+                sampling.interval
+                if sampling.interval is not None
                 else config.control_interval
             ),
-            max_samples=telemetry_config.max_samples,
+            max_samples=sampling.max_samples,
             profiler=profiler if profiler is not None else NULL_PROFILER,
         )
         jobtracker.attach_telemetry(sink, profiler)
@@ -269,8 +274,7 @@ def execute_spec(
         meter = ClusterMeter(cluster, sample_interval=spec.meter_interval)
         meter.attach(sim, stop_when=lambda: jobtracker.is_shutdown)
 
-    sampler: Optional[SnapshotSampler] = None
-    if tracer is not None and registry is not None:
+    if tracer is not None and sink is not None:
         models: Dict[str, int] = {}
         for machine in cluster:
             models[machine.spec.model] = models.get(machine.spec.model, 0) + 1
@@ -284,16 +288,8 @@ def execute_spec(
             fleet=models,
             heartbeat_interval=config.heartbeat_interval,
             control_interval=config.control_interval,
-            snapshot_interval=spec.meter_interval,
+            snapshot_interval=sink.interval,
         )
-        sampler = SnapshotSampler(
-            registry=registry,
-            cluster=cluster,
-            jobtracker=jobtracker,
-            interval=spec.meter_interval,
-            tracer=tracer,
-        )
-        sampler.attach(sim)
 
     def submit_all():
         for index, job_spec in enumerate(ordered):
@@ -349,14 +345,10 @@ def execute_spec(
             )
 
     jobtracker.all_done_event.add_callback(on_all_done)
-    if sampler is not None:
-        # Close the sampled series at the same instant, so the trace ends on
-        # a snapshot of the completed workload (in event order — trailing
-        # heartbeats may still tick afterwards).
-        jobtracker.all_done_event.add_callback(lambda _e: sampler.sample(sim.now))
     if sink is not None:
-        # Same closing rule for the columnar series: its last sample is the
-        # completed-workload instant, not a later periodic tick.
+        # Close the sampled series at the same instant, so its last sample
+        # (and the trace's last snapshot) is the completed workload, not a
+        # later periodic tick — trailing heartbeats may still follow.
         jobtracker.all_done_event.add_callback(lambda _e: sink.sample(sim.now))
 
     sim.run(until=spec.max_sim_time)

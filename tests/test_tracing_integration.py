@@ -6,6 +6,8 @@ identical traces.  The decision audit must reconstruct the Eq. 8 assignment
 distribution of every E-Ant dispatch.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
@@ -13,6 +15,10 @@ from repro.experiments import run_scenario
 from repro.hadoop import HadoopConfig
 from repro.observability import NULL_TRACER, EventType, Tracer, read_jsonl
 from repro.observability.report import machine_series_from_trace, report_from_trace
+from repro.runner import ScenarioSpec
+from repro.runner.engine import execute_spec
+from repro.runner.record import build_record, record_digest
+from repro.simulation import Simulator
 from repro.workloads import puma_job
 
 
@@ -32,14 +38,16 @@ def traced_result():
 class TestTracingIsPureObservation:
     def test_traced_metrics_bit_identical_to_untraced(self, traced_result):
         untraced = run_scenario(_jobs(), scheduler="e-ant", seed=11)
-        assert traced_result.metrics.makespan == untraced.metrics.makespan
-        assert (
-            traced_result.metrics.total_energy_joules
-            == untraced.metrics.total_energy_joules
+        traced_with_telemetry = run_scenario(
+            _jobs(), scheduler="e-ant", seed=11, trace=Tracer(), telemetry=True
         )
-        assert (
-            traced_result.metrics.energy_by_type == untraced.metrics.energy_by_type
-        )
+        for traced in (traced_result, traced_with_telemetry):
+            assert traced.metrics.makespan == untraced.metrics.makespan
+            assert (
+                traced.metrics.total_energy_joules
+                == untraced.metrics.total_energy_joules
+            )
+            assert traced.metrics.energy_by_type == untraced.metrics.energy_by_type
 
     def test_same_seed_runs_produce_identical_traces(self, traced_result):
         again = run_scenario(_jobs(), scheduler="e-ant", seed=11, trace=Tracer())
@@ -123,6 +131,51 @@ class TestDecisionAudit:
         for event in updates:
             assert event.data["kind"] in ("map", "reduce")
             assert isinstance(event.data["tau"], dict) and event.data["tau"]
+
+
+class TestSnapshotsComeFromTheTelemetrySink:
+    """A trace-only run's ``metrics.snapshot`` events are the sink's samples."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return ScenarioSpec(jobs=tuple(_jobs()), scheduler="e-ant", seed=11)
+
+    def test_snapshot_times_are_the_sink_sample_times(self, spec):
+        result = execute_spec(spec, trace=Tracer())
+        assert result.profiler is None
+        snapshots = result.tracer.of_type(EventType.METRICS_SNAPSHOT)
+        times = [event.time for event in snapshots]
+        assert times == result.telemetry.record().columns["time"].tolist()
+        assert result.tracer.header().data["snapshot_interval"] == spec.meter_interval
+        # Periodic samples on the meter's cadence, closed by one sample at
+        # the completed-workload instant.
+        periodic = [spec.meter_interval * (k + 1) for k in range(len(times) - 1)]
+        assert times[:-1] == periodic
+        assert times[-1] == result.metrics.makespan
+        for event in snapshots:
+            assert len(event.data["machines"]) == len(result.cluster)
+            assert "metrics" in event.data
+
+    def test_traced_record_digest_equals_untraced(self, spec):
+        traced = build_record(spec, execute_spec(spec, trace=Tracer()))
+        bare = build_record(spec, execute_spec(spec))
+        assert record_digest(traced) == record_digest(bare)
+
+    def test_one_periodic_sampler_besides_the_meter(self, spec, monkeypatch):
+        names = []
+        spawn = Simulator.process
+
+        def recording_process(sim, generator, name=None):
+            names.append(name)
+            return spawn(sim, generator, name=name)
+
+        monkeypatch.setattr(Simulator, "process", recording_process)
+        execute_spec(
+            dataclasses.replace(spec, with_meter=True), trace=Tracer(), telemetry=True
+        )
+        assert names.count("telemetry-sink") == 1
+        assert names.count("cluster-meter") == 1
+        assert "metrics-snapshots" not in names
 
 
 class TestTraceReplay:
